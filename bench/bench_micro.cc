@@ -4,8 +4,13 @@
 //     OR is O(N)");
 //   * the configuration handshake is the only message overhead;
 //   * the supporting pipeline (feature extraction, classifier inference,
-//     address-pool allocation) is fast enough for online use.
+//     address-pool allocation) is fast enough for online use;
+//   * the simulation layers under contended scenarios — the event queue
+//     and DCF arbitration fed by sim::channel::ArrivalFeed — stay cheap
+//     per frame.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/defense.h"
 #include "core/scheduler.h"
@@ -14,6 +19,11 @@
 #include "ml/mlp.h"
 #include "ml/svm.h"
 #include "net/config_protocol.h"
+#include "sim/channel/arrival_feed.h"
+#include "sim/channel/channel_arbiter.h"
+#include "sim/event_queue.h"
+#include "sim/medium.h"
+#include "sim/simulator.h"
 #include "traffic/generator.h"
 
 namespace {
@@ -170,6 +180,80 @@ void BM_TraceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceGeneration);
+
+struct NullHandler final : sim::EventHandler {
+  void on_event(std::uint64_t a, std::uint64_t) override {
+    benchmark::DoNotOptimize(a);
+  }
+};
+
+/// Steady-state hold model at a fixed heap depth: each item pops the
+/// earliest typed event and pushes one at a random later time.
+void BM_EventQueuePushPop(benchmark::State& state) {
+  const auto depth = static_cast<std::int64_t>(state.range(0));
+  util::Rng rng{7};
+  std::vector<std::int64_t> deltas(4096);
+  for (std::int64_t& delta : deltas) {
+    delta = rng.uniform_int(0, 10 * depth);
+  }
+  sim::EventQueue queue;
+  NullHandler handler;
+  for (std::int64_t i = 0; i < depth; ++i) {
+    queue.push_event(util::TimePoint::from_microseconds(
+                         deltas[static_cast<std::size_t>(i) % deltas.size()]),
+                     handler);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::int64_t now = queue.next_time().count_us();
+    queue.dispatch_next();
+    queue.push_event(
+        util::TimePoint::from_microseconds(now + deltas[i++ % deltas.size()]),
+        handler);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueuePushPop)->Arg(64)->Arg(1 << 18);
+
+/// Frames/s through ArrivalFeed and ChannelArbiter: a contended_cell
+/// sized like the contended-audit workload's cell (28 stations, one
+/// application each, 12 Mbit/s), 10 s of traffic per iteration.
+void BM_ArbitrateContendedCell(benchmark::State& state) {
+  constexpr std::size_t kStations = 28;
+  static const std::vector<traffic::Trace> sessions = [] {
+    std::vector<traffic::Trace> out;
+    for (std::size_t s = 0; s < kStations; ++s) {
+      out.push_back(traffic::generate_trace(
+          traffic::app_from_index(s % traffic::kAppCount),
+          util::Duration::seconds(10.0), 0xA1B0 + s));
+    }
+    return out;
+  }();
+  sim::PathLossModel quiet;
+  quiet.shadowing_sigma_db = 0.0;
+  sim::channel::DcfParams params;
+  params.bitrate_mbps = 12.0;
+  std::int64_t frames = 0;
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    sim::Medium medium{quiet, util::Rng{1}};
+    sim::channel::ArrivalFeed feed;
+    sim::channel::ChannelArbiter arbiter{simulator, medium, 1, params,
+                                         util::Rng{2}};
+    for (std::size_t s = 0; s < kStations; ++s) {
+      const std::uint32_t station =
+          feed.add_station(sim::Position{static_cast<double>(s), 0.0});
+      for (const traffic::PacketRecord& r : sessions[s].records()) {
+        feed.push(r.time, station, r.size_bytes);
+      }
+    }
+    feed.run(simulator, arbiter);
+    frames += static_cast<std::int64_t>(feed.size());
+    benchmark::DoNotOptimize(arbiter.frames_on_air());
+  }
+  state.SetItemsProcessed(frames);
+}
+BENCHMARK(BM_ArbitrateContendedCell)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -63,6 +63,15 @@ cmake --build "$BUILD_DIR" -j
 # on every leg.
 "./$BUILD_DIR/bench_campaign_throughput" --dense-smoke
 
+# The layer micro-benchmark smoke: the event queue and DCF arbitration
+# through sim::channel::ArrivalFeed run on every leg. A smoke only, with
+# no gate. bench_micro is built only where Google Benchmark is installed;
+# 1.7.x takes --benchmark_min_time as a bare number of seconds.
+if [ -x "./$BUILD_DIR/bench_micro" ]; then
+  "./$BUILD_DIR/bench_micro" --benchmark_filter='Arbitrate|EventQueue' \
+      --benchmark_min_time=0.05
+fi
+
 # A sample telemetry document (metrics + packet trace) from the live
 # example session: keeps the exporter surface exercised end-to-end and
 # gives CI an artifact to upload per leg. Pretty-print one frame's span

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <optional>
 #include <utility>
 
 #include "runtime/adaptive_campaign.h"
+#include "sim/channel/arrival_feed.h"
 #include "sim/channel/channel_arbiter.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
@@ -19,11 +19,6 @@ namespace reshape::core::tuning {
 namespace {
 
 constexpr int kChannel = 1;
-
-/// Inert transmitter identity for the access-delay measurement cell.
-struct StationIdentity final : sim::RadioListener {
-  void on_frame(const mac::Frame&, double) override {}
-};
 
 /// Nearest-rank percentile of an ascending-sorted sample vector.
 double percentile(std::span<const double> sorted, double q) {
@@ -110,20 +105,21 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
   std::optional<obs::PhaseProfiler::Scope> phase;
   phase.emplace(profiler_, "streaming");
 
+  // Every released frame is handed to the observed pass's channel at its
+  // modeled transmission start.
+  sim::channel::ArrivalFeed released;
   std::vector<eval::DefendedSession> defended;
   defended.reserve(sessions.size());
-  std::vector<std::vector<traffic::PacketRecord>> released(sessions.size());
   for (std::size_t s = 0; s < sessions.size(); ++s) {
     const auto reshaper = candidate.make_reshaper(config);
     if (windows != nullptr) {
       reshaper->set_windowed(windows, window_labels);
     }
-    released[s].reserve(sessions[s].size());
+    const std::uint32_t station =
+        released.add_station(sim::Position{static_cast<double>(s), 0.0});
     for (const traffic::PacketRecord& record : sessions[s].records()) {
       const online::ShapedPacket shaped = reshaper->push(record);
-      traffic::PacketRecord on_air = shaped.record;
-      on_air.time = shaped.tx_start;
-      released[s].push_back(on_air);
+      released.push(shaped.tx_start, station, shaped.record.size_bytes);
     }
     eval::DefendedSession session;
     session.app = sessions[s].app();
@@ -154,33 +150,17 @@ CandidateShardOutcome CandidateEvaluator::evaluate_cell(
     if (windows != nullptr) {
       arbiter.set_windowed(windows, window_labels);
     }
-    arbiter.set_on_air_hook([&outcome](const mac::Frame&,
-                                       util::Duration access_delay,
-                                       const sim::RadioListener*) {
-      outcome.access_delay_us.push_back(
-          static_cast<double>(access_delay.count_us()));
-    });
-    arbiter.set_drop_hook([&outcome](const mac::Frame&,
-                                     const sim::RadioListener*) {
-      ++outcome.frames_dropped;
-    });
-
-    std::deque<StationIdentity> stations(sessions.size());
-    for (std::size_t s = 0; s < sessions.size(); ++s) {
-      const sim::Position position{static_cast<double>(s), 0.0};
-      for (const traffic::PacketRecord& record : released[s]) {
-        simulator.schedule_at(
-            record.time,
-            [&arbiter, &station = stations[s], position,
-             size = record.size_bytes] {
-              mac::Frame frame;
-              frame.size_bytes = size;
-              frame.channel = kChannel;
-              arbiter.enqueue(std::move(frame), position, &station);
-            });
-      }
-    }
-    simulator.run();
+    outcome.access_delay_us.reserve(released.size());
+    released.run(
+        simulator, arbiter,
+        [&outcome](const sim::channel::ArrivalFeed::Arrival&,
+                   const mac::Frame&, util::Duration access_delay) {
+          outcome.access_delay_us.push_back(
+              static_cast<double>(access_delay.count_us()));
+        },
+        [&outcome](const sim::channel::ArrivalFeed::Arrival&) {
+          ++outcome.frames_dropped;
+        });
   }
   std::sort(outcome.access_delay_us.begin(), outcome.access_delay_us.end());
 

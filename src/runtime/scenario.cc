@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
-#include <iterator>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/online/streaming_reshaper.h"
 #include "core/scheduler.h"
+#include "sim/channel/arrival_feed.h"
 #include "sim/channel/channel_arbiter.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
@@ -20,12 +18,6 @@ namespace reshape::runtime {
 
 namespace {
 
-/// Inert transmitter identity for driving a ChannelArbiter directly —
-/// contention scenarios need station identities, not full protocol stacks.
-struct StationIdentity final : sim::RadioListener {
-  void on_frame(const mac::Frame&, double) override {}
-};
-
 sim::PathLossModel quiet_path_loss() {
   sim::PathLossModel model;
   model.shadowing_sigma_db = 0.0;
@@ -33,88 +25,54 @@ sim::PathLossModel quiet_path_loss() {
 }
 
 /// Shared scaffolding of the arbitrated-channel scenarios: owns the
-/// simulator/medium/arbiter stack, registers transmitter identities,
-/// schedules per-record enqueues at their original times, mirrors the
-/// arbiter's per-station FIFO against the on-air and drop hooks, and
-/// collects the observed (restamped) records per output stream.
+/// simulator/medium/arbiter stack and the arrival feed that hands each
+/// record to the channel at its original time, and collects the observed
+/// (restamped) records per output stream.
 class ArbitratedAir {
  public:
+  /// One output stream per trace of `originals`, labeled like it.
   ArbitratedAir(double bitrate_mbps, util::Rng medium_rng,
-                util::Rng arbiter_rng, std::size_t output_streams)
+                util::Rng arbiter_rng,
+                const std::vector<traffic::Trace>& originals)
       : medium_{quiet_path_loss(), medium_rng},
         arbiter_{simulator_, medium_, kChannel,
-                 contended_params(bitrate_mbps), arbiter_rng},
-        collected_(output_streams) {
-    // Per-station FIFO order is preserved by the arbiter, so the k-th
-    // on-air (or dropped) frame of a transmitter is its k-th scheduled
-    // record.
-    arbiter_.set_on_air_hook([this](const mac::Frame& frame, util::Duration,
-                                    const sim::RadioListener* tx) {
-      Transmitter& t = transmitter_of(tx);
-      const auto [stream, original] = t.fifo.front();
-      t.fifo.pop_front();
-      collected_[stream].push_back(
-          {frame.timestamp, frame.size_bytes, original.direction});
-    });
-    arbiter_.set_drop_hook(
-        [this](const mac::Frame&, const sim::RadioListener* tx) {
-          transmitter_of(tx).fifo.pop_front();  // never reached the air
-        });
+                 contended_params(bitrate_mbps), arbiter_rng} {
+    observed_.reserve(originals.size());
+    for (const traffic::Trace& original : originals) {
+      observed_.emplace_back(original.app());
+    }
   }
 
   /// Registers a transmitter at `position`; returns its handle.
-  std::size_t add_transmitter(sim::Position position) {
-    transmitters_.push_back(Transmitter{{}, position, {}});
-    index_.emplace(&transmitters_.back().identity, transmitters_.size() - 1);
-    return transmitters_.size() - 1;
+  std::uint32_t add_transmitter(sim::Position position) {
+    return feed_.add_station(position);
   }
 
-  /// Schedules `record` (carried by value — trace views hand out
-  /// per-iteration temporaries) for transmission by `transmitter` at its
-  /// original timestamp, observed into `stream`.
-  void schedule(std::size_t transmitter, std::size_t stream,
-                traffic::PacketRecord record) {
-    simulator_.schedule_at(record.time, [this, transmitter, stream, record] {
-      Transmitter& t = transmitters_[transmitter];
-      t.fifo.emplace_back(stream, record);
-      mac::Frame frame;
-      frame.size_bytes = record.size_bytes;
-      frame.channel = kChannel;
-      arbiter_.enqueue(std::move(frame), t.position, &t.identity);
-    });
+  /// Hands `record` to `transmitter` at its original timestamp, observed
+  /// into `stream`. The arrival's tag packs the stream over the record's
+  /// direction byte.
+  void schedule(std::uint32_t transmitter, std::size_t stream,
+                const traffic::PacketRecord& record) {
+    feed_.push(record.time, transmitter, record.size_bytes,
+               static_cast<std::uint64_t>(stream) << 8 |
+                   static_cast<std::uint8_t>(record.direction));
   }
 
-  /// Drains the simulator and returns each stream's observed records,
-  /// time-sorted (streams fed by several transmitters interleave).
-  std::vector<std::vector<traffic::PacketRecord>> run() {
-    simulator_.run();
-    for (std::vector<traffic::PacketRecord>& stream : collected_) {
-      std::stable_sort(stream.begin(), stream.end(),
-                       [](const traffic::PacketRecord& a,
-                          const traffic::PacketRecord& b) {
-                         return a.time < b.time;
-                       });
-    }
-    return std::move(collected_);
+  /// Replays every scheduled record and returns each stream's observed
+  /// trace. Frames reach the hook in on-air order, so streams fed by
+  /// several transmitters come out time-ordered without a sort.
+  std::vector<traffic::Trace> run() {
+    feed_.run(simulator_, arbiter_,
+              [this](const sim::channel::ArrivalFeed::Arrival& arrival,
+                     const mac::Frame& frame, util::Duration) {
+                observed_[arrival.tag >> 8].push_back(
+                    frame.timestamp, arrival.size_bytes,
+                    static_cast<mac::Direction>(arrival.tag & 0xFFU));
+              });
+    return std::move(observed_);
   }
 
  private:
-  struct Transmitter {
-    StationIdentity identity;
-    sim::Position position;
-    std::deque<std::pair<std::size_t, traffic::PacketRecord>> fifo;
-  };
-
-  [[nodiscard]] Transmitter& transmitter_of(const sim::RadioListener* id) {
-    // Hook-path lookup: O(1) via the identity index — a linear scan here
-    // is O(frames x stations) and dominates 10k-station cells.
-    const auto it = index_.find(id);
-    if (it == index_.end()) {
-      throw std::logic_error{"ArbitratedAir: unknown transmitter identity"};
-    }
-    return transmitters_[it->second];
-  }
-
   [[nodiscard]] static sim::channel::DcfParams contended_params(
       double bitrate_mbps) {
     sim::channel::DcfParams params;
@@ -123,31 +81,12 @@ class ArbitratedAir {
   }
 
   static constexpr int kChannel = 1;
+  sim::channel::ArrivalFeed feed_;  // identities outlive the arbiter
   sim::Simulator simulator_;
   sim::Medium medium_;
   sim::channel::ChannelArbiter arbiter_;
-  std::deque<Transmitter> transmitters_;  // deque: stable identity addresses
-  std::unordered_map<const sim::RadioListener*, std::size_t> index_;
-  std::vector<std::vector<traffic::PacketRecord>> collected_;
+  std::vector<traffic::Trace> observed_;
 };
-
-/// Packages observed per-stream records as traces labeled like
-/// `originals` (index-aligned).
-std::vector<traffic::Trace> label_streams(
-    std::vector<std::vector<traffic::PacketRecord>> collected,
-    const std::vector<traffic::Trace>& originals) {
-  std::vector<traffic::Trace> observed;
-  observed.reserve(collected.size());
-  for (std::size_t i = 0; i < collected.size(); ++i) {
-    traffic::Trace flow{originals[i].app()};
-    flow.reserve(collected[i].size());
-    for (const traffic::PacketRecord& r : collected[i]) {
-      flow.push_back(r);
-    }
-    observed.push_back(std::move(flow));
-  }
-  return observed;
-}
 
 }  // namespace
 
@@ -367,15 +306,15 @@ std::vector<traffic::Trace> arbitrate_one_cell(
     const std::vector<traffic::Trace>& originals, double bitrate_mbps,
     util::Rng& rng) {
   ArbitratedAir air{bitrate_mbps, rng.fork(0xA12B17E5ULL),
-                    rng.fork(0xDCFDCFULL), originals.size()};
+                    rng.fork(0xDCFDCFULL), originals};
   for (std::size_t s = 0; s < originals.size(); ++s) {
-    const std::size_t tx =
+    const std::uint32_t tx =
         air.add_transmitter(sim::Position{static_cast<double>(s), 0.0});
     for (const traffic::PacketRecord& r : originals[s].records()) {
       air.schedule(tx, s, r);
     }
   }
-  return label_streams(air.run(), originals);
+  return air.run();
 }
 
 /// The one contended-cell generator behind contended_cell,
@@ -496,13 +435,13 @@ Scenario adaptive_roaming_retrain(std::size_t stations,
         util::Rng cell_b_medium = rng.fork(0xCE11BBULL);
         util::Rng cell_b_arbiter = rng.fork(0xCE11B1ULL);
         ArbitratedAir cell_a{bitrate_mbps, cell_a_medium, cell_a_arbiter,
-                             stations};
+                             originals};
         ArbitratedAir cell_b{bitrate_mbps, cell_b_medium, cell_b_arbiter,
-                             stations};
+                             originals};
         for (std::size_t s = 0; s < stations; ++s) {
           const sim::Position pos{static_cast<double>(s), 0.0};
-          const std::size_t tx_a = cell_a.add_transmitter(pos);
-          const std::size_t tx_b = cell_b.add_transmitter(pos);
+          const std::uint32_t tx_a = cell_a.add_transmitter(pos);
+          const std::uint32_t tx_b = cell_b.add_transmitter(pos);
           const bool home_is_a = s % 2 == 0;
           for (const traffic::PacketRecord& r : originals[s].records()) {
             const bool in_home = r.time < roam_at[s];
@@ -517,20 +456,26 @@ Scenario adaptive_roaming_retrain(std::size_t stations,
 
         // Each station's observable flow is the time-merge of what it put
         // on the air in either cell (the roam is seamless to the flow key:
-        // same virtual MACs, new cell).
-        std::vector<std::vector<traffic::PacketRecord>> in_a = cell_a.run();
-        std::vector<std::vector<traffic::PacketRecord>> in_b = cell_b.run();
-        std::vector<std::vector<traffic::PacketRecord>> merged(stations);
+        // same virtual MACs, new cell); cell A wins ties.
+        const std::vector<traffic::Trace> in_a = cell_a.run();
+        const std::vector<traffic::Trace> in_b = cell_b.run();
+        std::vector<traffic::Trace> merged;
+        merged.reserve(stations);
         for (std::size_t s = 0; s < stations; ++s) {
-          merged[s].reserve(in_a[s].size() + in_b[s].size());
-          std::merge(in_a[s].begin(), in_a[s].end(), in_b[s].begin(),
-                     in_b[s].end(), std::back_inserter(merged[s]),
-                     [](const traffic::PacketRecord& x,
-                        const traffic::PacketRecord& y) {
-                       return x.time < y.time;
-                     });
+          const traffic::Trace& a = in_a[s];
+          const traffic::Trace& b = in_b[s];
+          traffic::Trace& flow = merged.emplace_back(originals[s].app());
+          flow.reserve(a.size() + b.size());
+          std::size_t i = 0;
+          std::size_t j = 0;
+          while (i < a.size() || j < b.size()) {
+            const bool take_a =
+                j == b.size() ||
+                (i < a.size() && b.times_us()[j] >= a.times_us()[i]);
+            flow.push_back(take_a ? a[i++] : b[j++]);
+          }
         }
-        return label_streams(std::move(merged), originals);
+        return merged;
       }};
 }
 
@@ -616,17 +561,17 @@ Scenario saturated_ap_downlink(std::size_t clients, util::Duration duration,
         // client contends for its own uplink. Both halves of a client's
         // flow observe into the same stream.
         ArbitratedAir air{bitrate_mbps, rng.fork(0x5A7DBEEFULL),
-                          rng.fork(0xA9D1ULL), clients};
-        const std::size_t ap = air.add_transmitter(sim::Position{0.0, 0.0});
+                          rng.fork(0xA9D1ULL), originals};
+        const std::uint32_t ap = air.add_transmitter(sim::Position{0.0, 0.0});
         for (std::size_t c = 0; c < clients; ++c) {
-          const std::size_t uplink = air.add_transmitter(
+          const std::uint32_t uplink = air.add_transmitter(
               sim::Position{static_cast<double>(c + 1), 0.0});
           for (const traffic::PacketRecord& r : originals[c].records()) {
             air.schedule(
                 r.direction == mac::Direction::kDownlink ? ap : uplink, c, r);
           }
         }
-        return label_streams(air.run(), originals);
+        return air.run();
       }};
 }
 

@@ -182,24 +182,24 @@ void ChannelArbiter::decide(std::uint64_t generation) {
   // losers keep their remainder (coordinate - offset) frozen on the heap.
   const std::int64_t expiry =
       std::max(offset_, countdown_heap_.front().first);
-  std::vector<std::size_t> winners;
+  winners_.clear();
   while (!countdown_heap_.empty() && countdown_heap_.front().first <= expiry) {
     std::pop_heap(countdown_heap_.begin(), countdown_heap_.end(),
                   CoordinateLater{});
     const std::uint32_t index = countdown_heap_.back().second;
     countdown_heap_.pop_back();
     stations_[index].drawn = false;
-    winners.push_back(index);
+    winners_.push_back(index);
   }
   offset_ = expiry;
-  util::internal_check(!winners.empty(),
+  util::internal_check(!winners_.empty(),
                        "ChannelArbiter::decide: countdown without winner");
   // Registration order: stats, hooks, and drop notifications fire in a
   // station-stable order regardless of heap pop order on ties.
-  std::sort(winners.begin(), winners.end());
+  std::sort(winners_.begin(), winners_.end());
 
-  if (winners.size() == 1) {
-    transmit_head(winners.front());
+  if (winners_.size() == 1) {
+    transmit_head(winners_.front());
     return;
   }
 
@@ -208,7 +208,7 @@ void ChannelArbiter::decide(std::uint64_t generation) {
   // limit is dropped.
   const util::TimePoint now = simulator_.now();
   util::Duration occupancy;
-  for (const std::size_t i : winners) {
+  for (const std::uint32_t i : winners_) {
     occupancy =
         std::max(occupancy, occupancy_of(stations_[i].queue.front().frame));
   }
@@ -216,7 +216,7 @@ void ChannelArbiter::decide(std::uint64_t generation) {
   busy_accum_ += occupancy;
 
   std::vector<std::pair<mac::Frame, const RadioListener*>> dropped;
-  for (const std::size_t i : winners) {
+  for (const std::uint32_t i : winners_) {
     Station& station = stations_[i];
     ++station.stats.collisions;
     ++station.retries;

@@ -35,8 +35,14 @@
 // crediting elapsed idle slots to all stations is one offset bump, and
 // the next winner is the min of a binary heap of coordinates. Station
 // lookup is a dense hash index, and decision events dispatch through the
-// typed (allocation-free) sim::EventHandler path. A 10k-station cell is
-// a registry scenario, not a hang.
+// typed (allocation-free) sim::EventHandler path. Workloads whose frame
+// arrivals are known up front (the arbitrated scenarios, the tuner's
+// access-delay cell) stream them in through sim::channel::ArrivalFeed
+// rather than one simulator callback per frame: the feed replays arrivals
+// in (time, push order), runs every event strictly earlier than each
+// arrival (Simulator::run_before), then enqueues the frame directly — the
+// order pre-scheduled callbacks produced, with only live decision events
+// in the heap. A 10k-station cell is a registry scenario, not a hang.
 #pragma once
 
 #include <cstdint>
@@ -227,6 +233,9 @@ class ChannelArbiter : private EventHandler {
   // never go stale.
   std::vector<std::pair<std::int64_t, std::uint32_t>> countdown_heap_;
   std::vector<std::uint32_t> undrawn_;  // pending stations needing a draw
+  // decide() scratch, reused across decisions (which never nest: they
+  // fire only from the event loop).
+  std::vector<std::uint32_t> winners_;
   std::int64_t offset_ = 0;        // elapsed idle slots since the epoch
   std::uint64_t generation_ = 0;   // cancels superseded decision events
   bool counting_ = false;          // an idle countdown is in progress

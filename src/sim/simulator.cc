@@ -44,4 +44,14 @@ void Simulator::run_until(util::TimePoint deadline) {
   }
 }
 
+void Simulator::run_before(util::TimePoint when) {
+  util::require(when >= now_, "Simulator::run_before: time is in the past");
+  while (!queue_.empty() && queue_.next_time() < when) {
+    now_ = queue_.next_time();
+    queue_.dispatch_next();
+    ++processed_;
+  }
+  now_ = when;
+}
+
 }  // namespace reshape::sim

@@ -41,6 +41,12 @@ class Simulator {
   /// deadline.
   void run_until(util::TimePoint deadline);
 
+  /// Runs events with timestamp strictly before `when`, then sets the
+  /// clock to `when`; events at `when` stay pending. Lets a caller inject
+  /// work at `when` ahead of every event already queued for that instant
+  /// without scheduling it. `when` must not be in the simulated past.
+  void run_before(util::TimePoint when);
+
   /// Total callbacks executed so far.
   [[nodiscard]] std::size_t events_processed() const { return processed_; }
 

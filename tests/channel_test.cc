@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "core/scheduler.h"
 #include "net/access_point.h"
 #include "net/client.h"
+#include "sim/channel/arrival_feed.h"
 #include "sim/channel/channel_arbiter.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
@@ -562,6 +564,197 @@ TEST(SnifferUnderArbitrationTest, CapturesSerializedAirMatchingChannelStats) {
         sniffer.flow_of(addresses[s], traffic::AppType::kBrowsing).size(),
         station->frames_sent);
   }
+}
+
+// --------------------------------------------------------- arrival feed ---
+
+struct TimedArrival {
+  std::int64_t time_us;
+  std::uint32_t station;
+  std::uint32_t size_bytes;
+};
+
+/// What one replay resolved, in hook order: (arrival index, on-air µs),
+/// with -1 for a drop.
+struct Resolution {
+  std::vector<std::pair<std::size_t, std::int64_t>> order;
+  ChannelStats totals;
+};
+
+/// The reference: one pre-scheduled simulator callback per arrival, in
+/// push order, each enqueueing its frame when it fires.
+Resolution replay_prescheduled(const std::vector<TimedArrival>& arrivals,
+                               std::size_t stations, const DcfParams& params) {
+  Simulator simulator;
+  Medium medium{quiet_model(), util::Rng{1}};
+  ChannelArbiter arbiter{simulator, medium, 1, params, util::Rng{9}};
+  std::vector<Identity> ids(stations);
+  std::vector<std::deque<std::size_t>> fifo(stations);
+  Resolution out;
+  const auto pop = [&](const RadioListener* tx) {
+    const auto s = static_cast<std::size_t>(
+        std::find_if(ids.begin(), ids.end(),
+                     [&](const Identity& id) { return &id == tx; }) -
+        ids.begin());
+    const std::size_t index = fifo[s].front();
+    fifo[s].pop_front();
+    return index;
+  };
+  arbiter.set_on_air_hook(
+      [&](const mac::Frame& frame, Duration, const RadioListener* tx) {
+        out.order.emplace_back(pop(tx), frame.timestamp.count_us());
+      });
+  arbiter.set_drop_hook([&](const mac::Frame&, const RadioListener* tx) {
+    out.order.emplace_back(pop(tx), -1);
+  });
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const TimedArrival a = arrivals[i];
+    simulator.schedule_at(TimePoint::from_microseconds(a.time_us), [&, a, i] {
+      fifo[a.station].push_back(i);
+      arbiter.enqueue(data_frame(a.size_bytes), Position{}, &ids[a.station]);
+    });
+  }
+  simulator.run();
+  out.totals = arbiter.totals();
+  return out;
+}
+
+Resolution replay_fed(const std::vector<TimedArrival>& arrivals,
+                      std::size_t stations, const DcfParams& params) {
+  Simulator simulator;
+  Medium medium{quiet_model(), util::Rng{1}};
+  ArrivalFeed feed;
+  ChannelArbiter arbiter{simulator, medium, 1, params, util::Rng{9}};
+  for (std::size_t s = 0; s < stations; ++s) {
+    feed.add_station(Position{});
+  }
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    feed.push(TimePoint::from_microseconds(arrivals[i].time_us),
+              arrivals[i].station, arrivals[i].size_bytes, i);
+  }
+  Resolution out;
+  feed.run(
+      simulator, arbiter,
+      [&](const ArrivalFeed::Arrival& arrival, const mac::Frame& frame,
+          Duration) {
+        out.order.emplace_back(arrival.tag, frame.timestamp.count_us());
+      },
+      [&](const ArrivalFeed::Arrival& arrival) {
+        out.order.emplace_back(arrival.tag, -1);
+      });
+  EXPECT_TRUE(simulator.idle());
+  EXPECT_EQ(arbiter.pending(), 0U);
+  out.totals = arbiter.totals();
+  return out;
+}
+
+void expect_same(const Resolution& fed, const Resolution& reference) {
+  EXPECT_EQ(fed.order, reference.order);
+  EXPECT_EQ(fed.totals.frames_sent, reference.totals.frames_sent);
+  EXPECT_EQ(fed.totals.frames_dropped, reference.totals.frames_dropped);
+  EXPECT_EQ(fed.totals.collisions, reference.totals.collisions);
+  EXPECT_EQ(fed.totals.total_access_delay,
+            reference.totals.total_access_delay);
+  EXPECT_EQ(fed.totals.max_queue_depth, reference.totals.max_queue_depth);
+}
+
+TEST(ArrivalFeedTest, ZeroBackoffArrivalPrecedesDecisionAtTheSameInstant) {
+  // Zero backoff, drop on the first collision. Station 0's first frame
+  // holds the channel until `idle`; its second frame is queued, so a
+  // decision is pending at `idle`. Station 1's frame arrives at exactly
+  // `idle`: it must be enqueued before that decision fires, so both
+  // stations contend at `idle` and collide. Had the decision fired first,
+  // station 0's second frame would have gone on air alone.
+  DcfParams params;
+  params.cw_min = 0;
+  params.cw_max = 0;
+  params.retry_limit = 0;
+  const std::int64_t idle = mac::airtime(1500, params.bitrate_mbps).count_us();
+  const std::vector<TimedArrival> arrivals{
+      {0, 0, 1500}, {1, 0, 1500}, {idle, 1, 1500}};
+  const Resolution fed = replay_fed(arrivals, 2, params);
+  const std::vector<std::pair<std::size_t, std::int64_t>> expected{
+      {0, 0}, {1, -1}, {2, -1}};
+  EXPECT_EQ(fed.order, expected);
+  expect_same(fed, replay_prescheduled(arrivals, 2, params));
+}
+
+TEST(ArrivalFeedTest, SameInstantArrivalsKeepPushOrder) {
+  // Station 1 is pushed first at 1000 µs and station 0 last at the same
+  // instant, in a later time-ordered run (station 2's earlier frame starts
+  // it). Push order decides which of the two the arbiter registers first,
+  // which orders the drop notifications of their collision (and keys the
+  // backoff streams).
+  DcfParams params;
+  params.cw_min = 0;
+  params.cw_max = 0;
+  params.retry_limit = 0;
+  const std::vector<TimedArrival> arrivals{
+      {1000, 1, 400}, {5, 2, 100}, {1000, 0, 400}};
+  const Resolution fed = replay_fed(arrivals, 3, params);
+  const std::vector<std::pair<std::size_t, std::int64_t>> expected{
+      {1, 5}, {0, -1}, {2, -1}};
+  EXPECT_EQ(fed.order, expected);
+  expect_same(fed, replay_prescheduled(arrivals, 3, params));
+}
+
+TEST(ArrivalFeedTest, MatchesPrescheduledReplayUnderContention) {
+  // Saturated contention with unsorted pushes (several time-ordered runs
+  // per station, arrivals on a coarse grid so instants are shared within
+  // and across runs): the feed must resolve every frame exactly as one
+  // pre-scheduled callback per frame did.
+  DcfParams params;
+  params.bitrate_mbps = 6.0;
+  params.cw_min = 3;
+  params.retry_limit = 2;
+  util::Rng rng{2024};
+  std::vector<TimedArrival> arrivals;
+  for (std::uint32_t s = 0; s < 6; ++s) {
+    for (int run = 0; run < 3; ++run) {
+      std::int64_t t = rng.uniform_int(0, 80) * 250;
+      for (int k = 0; k < 60; ++k) {
+        t += rng.uniform_int(0, 3) * 250;
+        arrivals.push_back(TimedArrival{
+            t, s, static_cast<std::uint32_t>(rng.uniform_int(60, 1500))});
+      }
+    }
+  }
+  const Resolution fed = replay_fed(arrivals, 6, params);
+  EXPECT_EQ(fed.order.size(), arrivals.size());
+  EXPECT_GT(fed.totals.collisions, 0U);
+  EXPECT_GT(fed.totals.frames_dropped, 0U);
+  expect_same(fed, replay_prescheduled(arrivals, 6, params));
+}
+
+TEST(ArrivalFeedTest, RejectsUnknownStationAndSecondReplay) {
+  Simulator simulator;
+  Medium medium{quiet_model(), util::Rng{1}};
+  ChannelArbiter arbiter{simulator, medium, 1, DcfParams{}, util::Rng{9}};
+  ArrivalFeed feed;
+  const std::uint32_t station = feed.add_station(Position{});
+  EXPECT_THROW(feed.push(TimePoint{}, station + 1, 100),
+               std::invalid_argument);
+  feed.push(TimePoint{}, station, 100);
+  feed.run(simulator, arbiter);
+  EXPECT_EQ(arbiter.frames_on_air(), 1U);
+  EXPECT_NE(arbiter.stats_of(&feed.identity(station)), nullptr);
+  EXPECT_THROW(feed.run(simulator, arbiter), std::invalid_argument);
+}
+
+TEST(ArrivalFeedTest, RejectsFramesFromForeignTransmitters) {
+  // The feed resolves on-air frames by identity; a station it does not
+  // own transmitting on the same arbiter is a typed error, not a misread.
+  Simulator simulator;
+  Medium medium{quiet_model(), util::Rng{1}};
+  ChannelArbiter arbiter{simulator, medium, 1, DcfParams{}, util::Rng{9}};
+  ArrivalFeed feed;
+  feed.push(TimePoint::from_microseconds(500), feed.add_station(Position{}),
+            100);
+  Identity stranger;
+  simulator.schedule_at(TimePoint{}, [&] {
+    arbiter.enqueue(data_frame(100), Position{}, &stranger);
+  });
+  EXPECT_THROW(feed.run(simulator, arbiter), std::invalid_argument);
 }
 
 }  // namespace

@@ -149,6 +149,37 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(SimulatorTest, RunBeforeLeavesEventsAtTheInstantPending) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.schedule_at(TimePoint::from_microseconds(10), [&] { fired.push_back(1); });
+  sim.schedule_at(TimePoint::from_microseconds(20), [&] { fired.push_back(2); });
+  sim.schedule_at(TimePoint::from_microseconds(30), [&] { fired.push_back(3); });
+  sim.run_before(TimePoint::from_microseconds(20));
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), TimePoint::from_microseconds(20));
+  EXPECT_EQ(sim.events_processed(), 1U);
+
+  // Work injected at the instant runs ahead of the event pending there,
+  // and an event it schedules for that instant fires after it too.
+  fired.push_back(20);
+  sim.schedule_at(TimePoint::from_microseconds(20),
+                  [&] { fired.push_back(21); });
+  sim.run_before(TimePoint::from_microseconds(20));  // same instant: no-op
+  EXPECT_EQ(fired, (std::vector<int>{1, 20}));
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 20, 2, 21, 3}));
+}
+
+TEST(SimulatorTest, RunBeforeAdvancesAnIdleClockAndRejectsThePast) {
+  Simulator sim;
+  sim.run_before(TimePoint::from_seconds(3.0));
+  EXPECT_EQ(sim.now(), TimePoint::from_seconds(3.0));
+  EXPECT_EQ(sim.events_processed(), 0U);
+  EXPECT_THROW(sim.run_before(TimePoint::from_seconds(1.0)),
+               std::invalid_argument);
+}
+
 TEST(SimulatorTest, SchedulingInThePastThrows) {
   Simulator sim;
   sim.schedule_at(TimePoint::from_seconds(2.0), [] {});
