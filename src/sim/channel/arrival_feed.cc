@@ -15,12 +15,6 @@ std::uint32_t ArrivalFeed::add_station(Position position) {
   return static_cast<std::uint32_t>(stations_.size() - 1);
 }
 
-const RadioListener& ArrivalFeed::identity(std::uint32_t station) const {
-  util::require(station < stations_.size(),
-                "ArrivalFeed::identity: unknown station");
-  return stations_[station];
-}
-
 void ArrivalFeed::push(util::TimePoint time, std::uint32_t station,
                        std::uint32_t size_bytes, std::uint64_t tag) {
   util::require(!replayed_, "ArrivalFeed::push: feed already replayed");

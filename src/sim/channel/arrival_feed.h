@@ -37,13 +37,10 @@
 
 namespace reshape::sim::channel {
 
+/// Replays frame arrivals into a ChannelArbiter under the order contract
+/// above.
 class ArrivalFeed {
  public:
-  // The arbiter keys its stations on the feed's identity addresses.
-  ArrivalFeed() = default;
-  ArrivalFeed(const ArrivalFeed&) = delete;
-  ArrivalFeed& operator=(const ArrivalFeed&) = delete;
-
   /// One frame handed to the channel at `time` by `station`.
   struct Arrival {
     util::TimePoint time;
@@ -61,12 +58,13 @@ class ArrivalFeed {
   /// The frame of `arrival` was dropped at the retry limit.
   using OnDrop = std::function<void(const Arrival& arrival)>;
 
+  // The arbiter keys its stations on the feed's identity addresses.
+  ArrivalFeed() = default;
+  ArrivalFeed(const ArrivalFeed&) = delete;
+  ArrivalFeed& operator=(const ArrivalFeed&) = delete;
+
   /// Registers a transmitting station at `position`; returns its index.
   std::uint32_t add_station(Position position);
-
-  /// The identity station `station` contends under (the key of
-  /// ChannelArbiter::stats_of). Stable once run() starts.
-  [[nodiscard]] const RadioListener& identity(std::uint32_t station) const;
 
   /// Appends an arrival. Any time order is accepted; replay sorts by
   /// (time, push order).
